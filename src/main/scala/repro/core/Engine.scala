@@ -2,10 +2,11 @@ package repro.core
 
 /** A mutable temporal-graph state that supports the TCD operation.
   *
-  * The enumeration driver ([[TCQ]]) is engine-agnostic: the paper's TEL is
-  * the production engine ([[TELState]]), and `repro.dist.DistTCQ` plugs a
-  * Spark DataFrame state into the same driver, so the pruning logic is
-  * shared and cross-checked between the two.
+  * The enumeration driver ([[TCQ]]) sees the graph only through this trait
+  * and [[CoreEngine]]. The paper's TEL ([[TELState]]) is the one production
+  * state; the seam stays so a caller can wrap or substitute the state the
+  * driver works on, e.g. to time and count each TCD phase without touching
+  * the driver or the TEL.
   */
 trait CoreState {
   /** Truncation: drop edges with timestamps outside `[ts, te]`. */
@@ -35,15 +36,18 @@ final class TELState(val tel: TEL) extends CoreState {
   override def copyState(): CoreState = new TELState(tel.copy())
 }
 
-/** [[CoreEngine]] over an in-memory edge collection, building one master TEL
-  * and truncating copies of it per query window (§5.2: the algorithm "starts
-  * to work on a copy of TEL(G[Ts,Te])").
-  *
-  * @param h link-strength bound for the §6.2 extension
+/** [[CoreEngine]] over a master TEL, truncating copies of it per query
+  * window (§5.2: the algorithm "starts to work on a copy of
+  * TEL(G[Ts,Te])"). The master is never mutated by queries, so it may be
+  * built elsewhere (e.g. from a DataFrame) or keep growing between queries.
   */
-final class TELEngine(allEdges: IndexedSeq[TemporalEdge], h: Int = 1) extends CoreEngine {
-  /** The master TEL of the full graph; never mutated by queries. */
-  val master: TEL = TEL.fromEdges(allEdges, h)
+final class TELEngine(val master: TEL) extends CoreEngine {
+
+  /** Builds the master TEL from an in-memory edge collection.
+    *
+    * @param h link-strength bound for the §6.2 extension
+    */
+  def this(allEdges: IndexedSeq[TemporalEdge], h: Int = 1) = this(TEL.fromEdges(allEdges, h))
 
   override def initial(ts: Int, te: Int): CoreState =
     new TELState(master.copyRange(ts, te))

@@ -112,8 +112,8 @@ object OTCD {
 
 /** Brute-force reference: peel every subinterval from scratch with the
   * textbook algorithm ([[KCore]]), dedupe by canonical edge list. This is
-  * the correctness oracle for TCD, OTCD, iPHC-Query and the distributed
-  * engines — `O(span² |E|)`, test-scale only.
+  * the correctness oracle for TCD, OTCD and iPHC-Query — `O(span² |E|)`,
+  * test-scale only.
   */
 object NaiveTCQ {
   def run(

@@ -126,10 +126,6 @@ final class TEL private (val h: Int) {
   def tti: Option[Interval] =
     if (nAlive == 0) None else Some(Interval(tVals(headTn), tVals(tailTn)))
 
-  /** Smallest / largest alive timestamp, O(1); None when empty. */
-  def minTimestamp: Option[Int] = if (nAlive == 0) None else Some(tVals(headTn))
-  def maxTimestamp: Option[Int] = if (nAlive == 0) None else Some(tVals(tailTn))
-
   /** Alive distinct timestamps in ascending order (walks the timeline). */
   def timestamps: Vector[Int] = {
     val b = Vector.newBuilder[Int]
@@ -390,16 +386,7 @@ final class TEL private (val h: Int) {
   }
 
   /** Deep copy: rebuilds a fresh TEL from the alive edges, O(|E| alive). */
-  def copy(): TEL = {
-    val t = new TEL(h)
-    var tn = headTn
-    while (tn != -1) {
-      var e = tlHead(tn)
-      while (e != -1) { t.addEdge(us(e), vs(e), ets(e)); e = tlNext(e) }
-      tn = tnNext(tn)
-    }
-    t
-  }
+  def copy(): TEL = copyRange(Int.MinValue, Int.MaxValue)
 
   /** Exact byte accounting of the array-backed storage plus an estimate for
     * the hash maps (Table 5). Pointers in the paper's TEL correspond to the

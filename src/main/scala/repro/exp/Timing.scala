@@ -11,14 +11,6 @@ object Timing {
     (a, ms)
   }
 
-  /** Median-of-`n` wall time in ms (first run discarded as warm-up when n>1). */
-  def median[A](n: Int)(body: => A): Double = {
-    require(n >= 1)
-    if (n > 1) body // warm-up
-    val times = Vector.fill(n)(time(body)._2).sorted
-    times(times.size / 2)
-  }
-
   def fmtMs(ms: Double): String =
     if (ms >= 1000) f"${ms / 1000}%.2f s" else f"$ms%.1f ms"
 }

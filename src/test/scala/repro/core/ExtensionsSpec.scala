@@ -95,12 +95,7 @@ class ExtensionsSpec extends AnyFunSuite {
       val dyn = TEL.fromEdges(old)
       incoming.foreach(e => dyn.addEdge(e.u, e.v, e.t))
       // ...and query it by copying (the master stays live for more appends).
-      val engine = new CoreEngine {
-        override def initial(ts: Int, te: Int): CoreState = {
-          val t = dyn.copy(); t.truncate(ts, te); new TELState(t)
-        }
-      }
-      val res = TCQ.run(engine, 2, Interval(1, 12))
+      val res = TCQ.run(new TELEngine(dyn), 2, Interval(1, 12))
       val static = OTCD.run(es, 2, Interval(1, 12))
       assert(TestGraphs.keySet(res.cores) == TestGraphs.keySet(static.cores), s"seed=$seed")
       assert(dyn.numAliveEdges == es.size, s"seed=$seed") // master untouched
@@ -111,15 +106,7 @@ class ExtensionsSpec extends AnyFunSuite {
     val dyn = TEL.empty()
     dyn.addEdge(1, 2, 1)
     dyn.addEdge(2, 3, 2)
-    def query(): Int = {
-      val t = dyn.copy()
-      val engine = new CoreEngine {
-        override def initial(ts: Int, te: Int): CoreState = {
-          val c = t.copy(); c.truncate(ts, te); new TELState(c)
-        }
-      }
-      TCQ.run(engine, 2, Interval(1, 10)).count
-    }
+    def query(): Int = TCQ.run(new TELEngine(dyn), 2, Interval(1, 10)).count
     assert(query() == 0)
     dyn.addEdge(1, 3, 3) // completes the triangle
     assert(query() == 1)

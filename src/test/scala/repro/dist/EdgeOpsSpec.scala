@@ -41,6 +41,18 @@ class EdgeOpsSpec extends SparkSpec {
       "edges" -> df)
   }
 
+  test("oracle rejects a wrong pair strength") {
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        EdgeOps.pairStrength(df).withColumn("strength", col("strength") + 1),
+        """SELECT least(CAST(u AS BIGINT), CAST(v AS BIGINT)) AS a,
+          |       greatest(CAST(u AS BIGINT), CAST(v AS BIGINT)) AS b,
+          |       count(*) AS strength
+          |FROM edges WHERE u <> v GROUP BY 1, 2""".stripMargin,
+        "edges" -> df)
+    }
+  }
+
   test("detemporalize matches DuckDB distinct pairs") {
     Oracle.assertEquivalent(
       EdgeOps.detemporalize(df),

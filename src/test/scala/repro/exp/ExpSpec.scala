@@ -28,13 +28,6 @@ class ExpSpec extends AnyFunSuite {
     assert(Timing.fmtMs(2500) == "2.50 s")
   }
 
-  test("Timing.median runs the body and returns a sane value") {
-    var n = 0
-    val m = Timing.median(3) { n += 1 }
-    assert(n == 4) // 1 warm-up + 3 measured
-    assert(m >= 0)
-  }
-
   test("runQuery smoke test: three algorithms agree on query 6 (email-lite)") {
     val row = Tables.runQuery(Datasets.queryById(6))
     assert(row.dataset == "email-lite")
